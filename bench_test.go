@@ -345,26 +345,16 @@ func BenchmarkSimulatorThroughputSingle(b *testing.B) {
 	}
 }
 
-// BenchmarkFastForward is the end-to-end ablation of the analytic
-// fast path: the flagship GCRM run with the completion calendar and
-// epoch memoization on versus the pure event-path fallback
-// (-analytic=off). Both sides produce byte-identical artifacts — the
-// determinism suite pins that — so the ratio here is pure simulator
-// speed, the number the fastpath-ablation make target quotes.
+// BenchmarkFastForward is the end-to-end face of the fabric's
+// fast-forwarding: the flagship GCRM run, whose long uniform write
+// storms the completion calendar crosses in single analytic jumps.
 func BenchmarkFastForward(b *testing.B) {
-	for _, side := range []struct {
-		name string
-		off  bool
-	}{{"analytic", false}, {"event", true}} {
-		b.Run(side.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m := Franklin()
-				m.AnalyticOff = side.off
-				run := RunGCRM(GCRMConfig{Machine: m, Seed: int64(i + 1)})
-				b.ReportMetric(float64(run.Wall), "sim_s")
-			}
-		})
-	}
+	b.Run("analytic", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			run := RunGCRM(GCRMConfig{Machine: Franklin(), Seed: int64(i + 1)})
+			b.ReportMetric(float64(run.Wall), "sim_s")
+		}
+	})
 }
 
 // --- Content-addressed cache (cascache) hot paths ---

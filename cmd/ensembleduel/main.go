@@ -8,7 +8,7 @@
 //
 //	ensembleduel -spec a.json -spec b.json [-stagger 0,5]
 //	    [-machine franklin|franklin-patched|jaguar] [-seed N]
-//	    [-faults scenario.json] [-analytic on|off]
+//	    [-faults scenario.json]
 //	    [-cache DIR] [-cache-verify]
 //	    [-telemetry FILE] [-spans FILE] [-report FILE] [-out DIR]
 //	    [-binsec F] [-top N] [-json] [-prof PREFIX] [-version]
@@ -19,7 +19,7 @@
 // single value starts tenant i at i*value. -out writes the full
 // artifact set — per-tenant traces, the merged telemetry snapshot and
 // span stream, and the interference report JSON — every byte of which
-// is identical across -j worker counts and -analytic on/off.
+// is identical across -j worker counts.
 //
 // -cache DIR memoizes the whole session — co-run plus the solo
 // baselines — in the content-addressed run cache (internal/cascache),
@@ -63,7 +63,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "session seed (tenant i's body draws use seed+i)")
 		stagger  = flag.String("stagger", "", "start offsets: comma list per tenant, or one value meaning i*value")
 		scenario = flag.String("faults", "", "inject the fault scenario from this JSON file (co-run AND solo baselines)")
-		analytic = cliutil.OnOff("analytic", true, "analytic fast path: on or off (results are byte-identical)")
 		binSec   = flag.Float64("binsec", 1, "interference activity-bin width in virtual seconds")
 		top      = flag.Int("top", 10, "rows per report table")
 		jsonOut  = flag.Bool("json", false, "print the interference report as JSON instead of tables")
@@ -101,7 +100,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof.AnalyticOff = !*analytic
 	var fs *ensembleio.Scenario
 	if *scenario != "" {
 		if fs, err = ensembleio.LoadScenario(*scenario); err != nil {

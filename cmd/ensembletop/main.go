@@ -169,8 +169,8 @@ func loadSnapshot(path string) *telemetry.Snapshot {
 }
 
 // printFastForward reports how much of the aggregate's virtual time
-// the fabric crossed in single analytic jumps — the headline for the
-// fast path. Runs predating the sim.virtual_seconds counter (or with
+// the fabric crossed in single analytic jumps — the headline for its
+// fast-forwarding. Runs predating the sim.virtual_seconds counter (or with
 // no fabric activity) print nothing.
 func printFastForward(s *telemetry.Snapshot) {
 	var total, ff, jumps float64

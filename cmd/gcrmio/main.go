@@ -8,7 +8,7 @@
 //	gcrmio [-tasks N] [-aggregators N] [-twostage] [-align]
 //	       [-metaagg] [-seed N] [-trace FILE] [-faults scenario.json]
 //	       [-traceformat binary|jsonl|chrome|spans] [-telemetry FILE]
-//	       [-analytic on|off] [-prof PREFIX] [-version]
+//	       [-prof PREFIX] [-version]
 package main
 
 import (
@@ -37,13 +37,15 @@ func main() {
 		format   = flag.String("traceformat", "", "trace encoding: binary, jsonl, chrome, spans (default binary; chrome/spans need telemetry)")
 		telOut   = flag.String("telemetry", "", "write the telemetry metric snapshot (JSON) to this file")
 		profOut  = flag.String("prof", "", "write wall-clock CPU/heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
-		analytic = cliutil.OnOff("analytic", true, "analytic fast path: on or off (off falls back to the pure event path; results are byte-identical)")
 		version  = flag.Bool("version", false, "print build version and exit")
 	)
 	flag.Parse()
 	if *version {
 		fmt.Println(cliutil.Version())
 		return
+	}
+	if err := checkFlags(*tasks, *aggs); err != nil {
+		cliutil.UsageFatal(err)
 	}
 	stopProf, err := cliutil.StartProfiles(*profOut)
 	if err != nil {
@@ -70,10 +72,8 @@ func main() {
 		}
 	}
 
-	machine := ensembleio.Franklin()
-	machine.AnalyticOff = !*analytic
 	run := ensembleio.RunGCRM(ensembleio.GCRMConfig{
-		Machine:           machine,
+		Machine:           ensembleio.Franklin(),
 		Tasks:             *tasks,
 		Aggregators:       *aggs,
 		TwoStage:          *twoStage,
@@ -170,4 +170,19 @@ func saveTelemetry(path string, run *ensembleio.Run) (err error) {
 		}
 	}()
 	return ensembleio.SaveTelemetry(f, run)
+}
+
+// checkFlags rejects the values RunGCRM would silently replace with a
+// default (0 tasks runs 10240), ignore (negative aggregators) or crash
+// on (no ranks, tasks that do not divide evenly among aggregators).
+func checkFlags(tasks, aggs int) error {
+	switch {
+	case tasks < 1:
+		return fmt.Errorf("-tasks %d: want at least 1", tasks)
+	case aggs < 0:
+		return fmt.Errorf("-aggregators %d: want 0 (every task writes) or more", aggs)
+	case aggs > 0 && tasks%aggs != 0:
+		return fmt.Errorf("-tasks %d does not divide evenly among -aggregators %d", tasks, aggs)
+	}
+	return nil
 }

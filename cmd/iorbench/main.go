@@ -9,7 +9,7 @@
 //	         [-block BYTES] [-transfer BYTES] [-reps N] [-seed N]
 //	         [-fpp] [-stripes N] [-faults scenario.json]
 //	         [-trace FILE] [-json] [-traceformat binary|jsonl|chrome|spans]
-//	         [-telemetry FILE] [-analytic on|off] [-prof PREFIX] [-version]
+//	         [-telemetry FILE] [-prof PREFIX] [-version]
 //
 // -traceformat chrome writes Chrome trace-event JSON loadable in
 // Perfetto; spans writes the compact JSONL span format. Both require
@@ -45,13 +45,15 @@ func main() {
 		format   = flag.String("traceformat", "", "trace encoding: binary, jsonl, chrome, spans (default binary; chrome/spans need telemetry)")
 		telOut   = flag.String("telemetry", "", "write the telemetry metric snapshot (JSON) to this file")
 		profOut  = flag.String("prof", "", "write wall-clock CPU/heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
-		analytic = cliutil.OnOff("analytic", true, "analytic fast path: on or off (off falls back to the pure event path; results are byte-identical)")
 		version  = flag.Bool("version", false, "print build version and exit")
 	)
 	flag.Parse()
 	if *version {
 		fmt.Println(cliutil.Version())
 		return
+	}
+	if err := checkFlags(*tasks, *block, *transfer, *reps); err != nil {
+		cliutil.UsageFatal(err)
 	}
 	stopProf, err := cliutil.StartProfiles(*profOut)
 	if err != nil {
@@ -81,7 +83,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof.AnalyticOff = !*analytic
 	fs, err := loadScenario(*scenario)
 	if err != nil {
 		log.Fatal(err)
@@ -155,6 +156,26 @@ func loadScenario(path string) (*ensembleio.Scenario, error) {
 		return nil, nil
 	}
 	return ensembleio.LoadScenario(path)
+}
+
+// checkFlags rejects the values RunIOR would silently replace with a
+// default (0 tasks runs 1024, 0 reps runs 1), turn into a nonsense run
+// (negative sizes or reps), or crash on (no ranks, a block that is not
+// a whole number of transfers).
+func checkFlags(tasks int, block, transfer int64, reps int) error {
+	switch {
+	case tasks < 1:
+		return fmt.Errorf("-tasks %d: want at least 1", tasks)
+	case block < 1:
+		return fmt.Errorf("-block %d: want at least 1 byte", block)
+	case transfer < 0:
+		return fmt.Errorf("-transfer %d: want at least 1 byte, or 0 for the whole block", transfer)
+	case block%effTransfer(block, transfer) != 0:
+		return fmt.Errorf("-block %d is not a multiple of -transfer %d", block, transfer)
+	case reps < 1:
+		return fmt.Errorf("-reps %d: want at least 1", reps)
+	}
+	return nil
 }
 
 func effTransfer(block, transfer int64) int64 {

@@ -8,7 +8,7 @@
 //	madbench [-machine franklin|franklin-patched|jaguar] [-tasks N]
 //	         [-matrices N] [-seed N] [-faults scenario.json]
 //	         [-trace FILE] [-json] [-traceformat binary|jsonl|chrome|spans]
-//	         [-telemetry FILE] [-analytic on|off] [-prof PREFIX] [-version]
+//	         [-telemetry FILE] [-prof PREFIX] [-version]
 package main
 
 import (
@@ -36,13 +36,15 @@ func main() {
 		format   = flag.String("traceformat", "", "trace encoding: binary, jsonl, chrome, spans (default binary; chrome/spans need telemetry)")
 		telOut   = flag.String("telemetry", "", "write the telemetry metric snapshot (JSON) to this file")
 		profOut  = flag.String("prof", "", "write wall-clock CPU/heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
-		analytic = cliutil.OnOff("analytic", true, "analytic fast path: on or off (off falls back to the pure event path; results are byte-identical)")
 		version  = flag.Bool("version", false, "print build version and exit")
 	)
 	flag.Parse()
 	if *version {
 		fmt.Println(cliutil.Version())
 		return
+	}
+	if err := checkFlags(*tasks, *matrices); err != nil {
+		cliutil.UsageFatal(err)
 	}
 	stopProf, err := cliutil.StartProfiles(*profOut)
 	if err != nil {
@@ -77,8 +79,6 @@ func main() {
 	default:
 		log.Fatalf("unknown machine %q", *machine)
 	}
-	prof.AnalyticOff = !*analytic
-
 	var fs *ensembleio.Scenario
 	if *scenario != "" {
 		var err error
@@ -196,4 +196,16 @@ func saveTelemetry(path string, run *ensembleio.Run) (err error) {
 		}
 	}()
 	return ensembleio.SaveTelemetry(f, run)
+}
+
+// checkFlags rejects the values RunMADbench would silently replace with
+// a default (0 tasks runs 256, 0 matrices runs 8) or crash on.
+func checkFlags(tasks, matrices int) error {
+	switch {
+	case tasks < 1:
+		return fmt.Errorf("-tasks %d: want at least 1", tasks)
+	case matrices < 1:
+		return fmt.Errorf("-matrices %d: want at least 1", matrices)
+	}
+	return nil
 }

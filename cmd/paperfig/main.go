@@ -8,7 +8,7 @@
 // Usage:
 //
 //	paperfig [-out DIR] [-fig 1a|1b|1c|2|4|5a|5b|5c|6|writers|all] [-seed N] [-j N]
-//	         [-faults scenario.json] [-progress] [-analytic on|off]
+//	         [-faults scenario.json] [-progress]
 //	         [-prof PREFIX] [-version]
 //
 // -progress renders a live stderr meter (completed runs, rate, ETA)
@@ -44,7 +44,6 @@ var (
 	jobs     = flag.Int("j", 0, "parallel simulation workers (0 = all cores; output is identical at any -j)")
 	faults   = flag.String("faults", "", "inject the fault scenario from this JSON file into every run")
 	progress = flag.Bool("progress", false, "render a live run-completion meter on stderr")
-	analytic = cliutil.OnOff("analytic", true, "analytic fast path: on or off (off falls back to the pure event path; artifacts are byte-identical — the fastpath-ablation target diffs them)")
 	prof     = flag.String("prof", "", "write CPU/heap profiles to PREFIX.{cpu,heap}.pprof")
 	version  = flag.Bool("version", false, "print build version and exit")
 )
@@ -72,23 +71,17 @@ type runSpec struct {
 	build func() *ensembleio.Run
 }
 
-// machineFor constructs the named platform with the -analytic flag
-// applied. Artifacts are byte-identical either way; the ablation
-// target regenerates figures under both settings and diffs them.
+// machineFor constructs the named platform.
 func machineFor(name string) ensembleio.Platform {
-	var m ensembleio.Platform
 	switch name {
 	case "franklin":
-		m = ensembleio.Franklin()
+		return ensembleio.Franklin()
 	case "patched":
-		m = ensembleio.FranklinPatched()
+		return ensembleio.FranklinPatched()
 	case "jaguar":
-		m = ensembleio.Jaguar()
-	default:
-		panic("unknown machine " + name)
+		return ensembleio.Jaguar()
 	}
-	m.AnalyticOff = !*analytic
-	return m
+	panic("unknown machine " + name)
 }
 
 func cachedRun(s runSpec) *ensembleio.Run {

@@ -10,7 +10,7 @@
 //	wlrun -spec FILE [-spec FILE ...] [-gen LO-HI]
 //	      [-machine franklin|franklin-patched|jaguar]
 //	      [-seed N] [-runs N] [-j N] [-faults scenario.json]
-//	      [-analytic on|off] [-cache DIR] [-cache-verify] [-out DIR]
+//	      [-cache DIR] [-cache-verify] [-out DIR]
 //	      [-trace FILE] [-traceformat binary|jsonl|chrome|spans]
 //	      [-telemetry FILE] [-prof PREFIX] [-version]
 //	wlrun -spec FILE -validate
@@ -68,7 +68,6 @@ func main() {
 		runs     = flag.Int("runs", 1, "number of seeded runs per spec (seeds seed..seed+runs-1)")
 		workers  = flag.Int("j", 1, "max parallel runs (0 = all cores); results are identical at any value")
 		scenario = flag.String("faults", "", "inject the fault scenario from this JSON file")
-		analytic = cliutil.OnOff("analytic", true, "analytic fast path: on or off (off falls back to the pure event path; results are byte-identical)")
 		outDir   = flag.String("out", "", "write per-run artifacts into this directory")
 		trace    = flag.String("trace", "", "write the first run's trace to this file")
 		format   = flag.String("traceformat", "binary", "trace encoding: binary, jsonl, chrome, spans")
@@ -166,7 +165,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof.AnalyticOff = !*analytic
 	fs, err := loadScenario(*scenario)
 	if err != nil {
 		log.Fatal(err)

@@ -616,8 +616,8 @@ type (
 func OpenCache(dir string) (*CacheStore, error) { return cascache.Open(dir) }
 
 // ScenarioCacheKey derives the canonical cache key of one workload
-// run. Sim-path-irrelevant platform fields (AnalyticOff) are excluded:
-// both sim paths produce — and are served — the same bytes.
+// run: every platform field, the fault scenario, the spec and the
+// seed enter it.
 func ScenarioCacheKey(spec *WorkloadSpec, prof Platform, sc *Scenario, seed int64) (CacheKey, error) {
 	return cascache.ScenarioKey(spec, prof, sc, seed)
 }

@@ -13,7 +13,7 @@ import (
 // aggressor ranking built from all three. Everything here is a pure
 // function of its inputs — fixed-order slice iteration, no maps in
 // output paths, no wall-clock — so a report serializes byte-identically
-// across schedulers and the analytic fast path.
+// across schedulers.
 
 // TenantObs is one tenant's observation bundle, assembled by the
 // session driver (internal/tenancy) from the co-run and the tenant's

@@ -17,8 +17,8 @@
 //     write-tempdir-then-rename so readers never observe a partial
 //     entry, with an append-only index file;
 //   - the in-process MRU layer (mru.go): a small map-free
-//     move-to-front slice in the shape of flownet's memo cache, so a
-//     campaign's repeated scenarios are served without touching disk.
+//     move-to-front slice, so a campaign's repeated scenarios are
+//     served without touching disk.
 //
 // The contract is the strong one ROADMAP names: a cache hit is
 // byte-identical to a fresh run. Every artifact is digest-checked on
@@ -105,8 +105,7 @@ func (b *Builder) Int64(name string, v int64) *Builder {
 }
 
 // Float64 feeds a named float section by exact bit pattern — one ulp
-// of difference is a different key, mirroring the fingerprint
-// discipline of flownet's memo cache.
+// of difference is a different key.
 func (b *Builder) Float64(name string, v float64) *Builder {
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], math.Float64bits(v))
@@ -121,13 +120,9 @@ func (b *Builder) Key() Key {
 }
 
 // CanonicalPlatform returns the platform profile's canonical bytes
-// for key derivation: the profile JSON in struct field order, with the
-// sim-path-irrelevant fields excluded. AnalyticOff is the one such
-// field — the analytic fast path and the pure event path produce
-// byte-identical artifacts (enforced by make fastpath-ablation), so a
-// run cached under either setting serves both.
+// for key derivation: the profile JSON in struct field order. Every
+// field shapes the simulation, so every field enters the key.
 func CanonicalPlatform(prof cluster.Profile) ([]byte, error) {
-	prof.AnalyticOff = false
 	return json.Marshal(prof)
 }
 

@@ -252,23 +252,14 @@ func TestDiffArtifacts(t *testing.T) {
 	}
 }
 
-// The platform section excludes AnalyticOff: a run cached under either
-// sim path serves both. Every other profile field must change the key.
-func TestScenarioKeySimPathIrrelevance(t *testing.T) {
+// Every platform field and the fault scenario enter the key: distinct
+// inputs must never share a cached run.
+func TestScenarioKeyDistinguishesInputs(t *testing.T) {
 	spec := wldsl.Generate(1)
 	on := cluster.Franklin()
-	off := cluster.Franklin()
-	off.AnalyticOff = true
 	kOn, err := ScenarioKey(spec, on, nil, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	kOff, err := ScenarioKey(spec, off, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kOn != kOff {
-		t.Fatal("AnalyticOff changed the scenario key (sim-path-irrelevant fields must be excluded)")
 	}
 	patched := cluster.Franklin()
 	patched.PatchStridedReadahead = true

@@ -8,35 +8,22 @@ package cliutil
 import (
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
-	"strconv"
 )
 
-// OnOff registers name as an on/off flag and returns a pointer that
-// tracks it. The canonical spellings are "on" and "off" (the CLIs
-// document -analytic=off); the strconv.ParseBool spellings are
-// accepted as aliases so -name=false keeps working in scripts.
-func OnOff(name string, def bool, usage string) *bool {
-	v := def
-	flag.Func(name, usage, func(s string) error {
-		switch s {
-		case "on":
-			v = true
-		case "off":
-			v = false
-		default:
-			b, err := strconv.ParseBool(s)
-			if err != nil {
-				return fmt.Errorf("want on or off")
-			}
-			v = b
-		}
-		return nil
-	})
-	return &v
+// UsageFatal rejects a flag value the command cannot run with the way
+// the flag package rejects a malformed one: the error, then the usage
+// text, on stderr, and exit status 2. Commands call it for values that
+// parse but would otherwise be silently replaced by a default or crash
+// the simulation.
+func UsageFatal(err error) {
+	log.Print(err)
+	flag.Usage()
+	os.Exit(2)
 }
 
 // CacheFlags registers the content-addressed run-cache flags the run

@@ -161,13 +161,6 @@ type Profile struct {
 
 	// Quantum is the fluid-rate recomputation interval.
 	Quantum sim.Duration
-
-	// AnalyticOff disables the fabric's analytic fast path (completion
-	// calendar, epoch memoization), falling back to the pure event
-	// path. Results are byte-identical either way; the flag is the
-	// CLIs' -analytic=off escape hatch and the reference side of the
-	// fastpath-ablation suite.
-	AnalyticOff bool
 }
 
 // EffectiveAggregateMBps is the back-end capacity after the OST limit.
@@ -297,7 +290,6 @@ func New(eng *sim.Engine, prof Profile, nNodes int, seed int64) *Cluster {
 	fab := flownet.New(eng, flownet.Config{
 		AggregateMBps: prof.EffectiveAggregateMBps(),
 		Quantum:       prof.Quantum,
-		AnalyticOff:   prof.AnalyticOff,
 	})
 	c := &Cluster{Eng: eng, Prof: prof, Fabric: fab, RNG: sim.NewRNG(seed)}
 	for i := 0; i < nNodes; i++ {

@@ -1,79 +1,46 @@
 package flownet
 
-import (
-	"math"
-
-	"ensembleio/internal/sim"
-)
-
-// calEntry is one pending completion in the analytic calendar. Entries
-// are immutable once pushed; a stream whose rate changes simply pushes
-// a fresh entry, and stale ones are dropped lazily when they surface.
-// An entry is current iff the stream it points at is still the same
-// transfer (ids are monotone and never reused) and still carries the
-// entry's deadline bits.
-type calEntry struct {
-	dl sim.Time
-	id uint64
-	s  *Stream
-}
-
-// valid reports whether the entry still describes its stream's live
-// deadline. Reading a recycled *Stream is safe — the object is only
-// ever reused for another transfer, which changes its id.
-func (e calEntry) valid() bool {
-	return e.s.id == e.id && !e.s.finished &&
-		math.Float64bits(float64(e.s.deadline)) == math.Float64bits(float64(e.dl))
-}
-
-// calendar is a slice-backed binary min-heap of completion deadlines
-// ordered by (deadline, stream id). The id tie-break makes the pop
-// order of simultaneous completions identical to the event path's
-// sorted scan, which is what keeps done-callback sequence numbers —
-// and therefore every downstream RNG draw — byte-identical between
-// the analytic and pure event paths.
+// calendar is the fabric's completion calendar: an indexed binary
+// min-heap of exactly the streams that hold a finite deadline, ordered
+// by (deadline, stream id). Each stream records its own slot
+// (Stream.heapIdx, -1 while out of the heap), so a rate change fixes
+// the stream's entry in place and a drop to rate 0 removes it: there
+// are no stale entries, and the heap size is the live population with
+// a deadline. The id tie-break fixes the pop order of simultaneous
+// completions, which fixes the done callbacks' engine sequence numbers
+// and with them every downstream RNG draw.
 type calendar struct {
-	a []calEntry
+	a []*Stream
 }
 
 func (c *calendar) less(i, j int) bool {
-	if c.a[i].dl != c.a[j].dl {
-		return c.a[i].dl < c.a[j].dl
+	x, y := c.a[i], c.a[j]
+	if x.deadline != y.deadline {
+		return x.deadline < y.deadline
 	}
-	return c.a[i].id < c.a[j].id
+	return x.id < y.id
 }
 
-func (c *calendar) push(e calEntry) {
-	c.a = append(c.a, e)
-	i := len(c.a) - 1
+func (c *calendar) swap(i, j int) {
+	c.a[i], c.a[j] = c.a[j], c.a[i]
+	c.a[i].heapIdx = i
+	c.a[j].heapIdx = j
+}
+
+func (c *calendar) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !c.less(i, parent) {
-			break
+			return
 		}
-		c.a[i], c.a[parent] = c.a[parent], c.a[i]
+		c.swap(i, parent)
 		i = parent
 	}
 }
 
-// peek returns the minimum entry without removing it. The caller is
-// responsible for lazily popping invalid entries.
-func (c *calendar) peek() (calEntry, bool) {
-	if len(c.a) == 0 {
-		return calEntry{}, false
-	}
-	return c.a[0], true
-}
-
-func (c *calendar) pop() calEntry {
-	top := c.a[0]
-	n := len(c.a) - 1
-	c.a[0] = c.a[n]
-	// Clear the vacated slot so the entry's *Stream is collectable
-	// even while the backing array lives on.
-	c.a[n] = calEntry{}
-	c.a = c.a[:n]
-	i := 0
+// down sifts slot i toward the leaves and reports whether it moved.
+func (c *calendar) down(i int) bool {
+	start, n := i, len(c.a)
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
@@ -84,11 +51,46 @@ func (c *calendar) pop() calEntry {
 			smallest = r
 		}
 		if smallest == i {
-			return top
+			return i != start
 		}
-		c.a[i], c.a[smallest] = c.a[smallest], c.a[i]
+		c.swap(i, smallest)
 		i = smallest
 	}
 }
 
-func (c *calendar) len() int { return len(c.a) }
+// fix inserts s, or restores heap order after its deadline changed.
+func (c *calendar) fix(s *Stream) {
+	if s.heapIdx < 0 {
+		s.heapIdx = len(c.a)
+		c.a = append(c.a, s)
+		c.up(s.heapIdx)
+		return
+	}
+	if !c.down(s.heapIdx) {
+		c.up(s.heapIdx)
+	}
+}
+
+// remove takes s out of the heap; s must be in it.
+func (c *calendar) remove(s *Stream) {
+	i, n := s.heapIdx, len(c.a)-1
+	if i != n {
+		c.swap(i, n)
+	}
+	// Clear the vacated slot so the *Stream is collectable even while
+	// the backing array lives on.
+	c.a[n] = nil
+	c.a = c.a[:n]
+	s.heapIdx = -1
+	if i != n && !c.down(i) {
+		c.up(i)
+	}
+}
+
+// min returns the stream with the earliest deadline, or nil.
+func (c *calendar) min() *Stream {
+	if len(c.a) == 0 {
+		return nil
+	}
+	return c.a[0]
+}

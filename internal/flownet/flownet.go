@@ -23,7 +23,6 @@ package flownet
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"ensembleio/internal/sim"
 	"ensembleio/internal/telemetry"
@@ -37,12 +36,6 @@ type Config struct {
 	// Quantum is the rate-recomputation interval in virtual seconds.
 	// Zero selects a default of 50 ms.
 	Quantum sim.Duration
-	// AnalyticOff disables the analytic fast path (completion calendar
-	// and water-fill memoization) and falls back to the pure event
-	// path, which rescans every stream at each wake-up. The two paths
-	// produce byte-identical artifacts — the flag exists as an escape
-	// hatch and as the reference side of the ablation suite.
-	AnalyticOff bool
 }
 
 // Fabric is a shared bandwidth domain. Create one with New.
@@ -61,7 +54,6 @@ type Fabric struct {
 	eng        *sim.Engine
 	cap        float64
 	quantum    sim.Duration
-	analytic   bool
 	ports      []*Port
 	actPorts   []*Port // ports with ≥1 stream (stale empties linger until the next recompute)
 	active     int     // number of active streams across all ports
@@ -70,12 +62,11 @@ type Fabric struct {
 	dirty      bool      // membership or caps changed since the last recompute
 	dirtySince sim.Time  // instant dirty last flipped on; recompute lands at +quantum
 	lastWake   sim.Time  // previous refresh instant (fast-forward accounting)
-	nextID     uint64    // monotone stream ids; completion tie-break and calendar validity
+	nextID     uint64    // monotone stream ids; completion tie-break
 	free       []*Stream // engine-owned stream free list (see DESIGN.md §11)
 	due        []*Stream // scratch: streams completing at the current instant
 	touched    []*Port   // scratch: ports needing compaction after completions
-	cal        calendar  // analytic: pending completion deadlines, lazily invalidated
-	memo       memoCache // analytic: water-fill memoization over epoch fingerprints
+	cal        calendar  // streams with a finite deadline, by (deadline, id)
 	pokeFn     func()
 	tickFn     func(uint64)
 
@@ -100,7 +91,7 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 	if q == 0 {
 		q = 0.05
 	}
-	f := &Fabric{eng: eng, cap: cfg.AggregateMBps, quantum: q, analytic: !cfg.AnalyticOff}
+	f := &Fabric{eng: eng, cap: cfg.AggregateMBps, quantum: q}
 	// Both scheduling closures are allocated once here and reused for
 	// every poke and wake-up over the fabric's lifetime.
 	f.pokeFn = func() {
@@ -117,17 +108,6 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 
 // AggregateMBps returns the configured aggregate capacity.
 func (f *Fabric) AggregateMBps() float64 { return f.cap }
-
-// Analytic reports whether the analytic fast path is enabled.
-func (f *Fabric) Analytic() bool { return f.analytic }
-
-// MemoHits reports how many recomputes were served from the epoch
-// memoization cache (always zero with the fast path off).
-func (f *Fabric) MemoHits() uint64 { return f.memo.hits }
-
-// MemoMisses reports how many recomputes probed the cache and ran the
-// full water-fill (always zero with the fast path off).
-func (f *Fabric) MemoMisses() uint64 { return f.memo.misses }
 
 // Instrument attaches a telemetry sink (nil = disabled) and caches the
 // fabric's metric handles.
@@ -204,9 +184,8 @@ type StreamOpts struct {
 // bytes are anchorRem - rate*(t-anchorT), and the absolute completion
 // deadline is a pure function of the anchor. The anchor moves only
 // when the assigned rate actually changes (bitwise), so an unchanged
-// allocation keeps every deadline bit-stable across recomputes — the
-// invariant that makes the analytic calendar and the pure event path
-// agree byte for byte.
+// allocation keeps every deadline bit-stable across recomputes, and
+// leaves the stream's calendar entry untouched.
 type Stream struct {
 	port      *Port
 	id        uint64   // monotone per-fabric; completion tie-break
@@ -216,7 +195,7 @@ type Stream struct {
 	weight    float64
 	rate      float64  // current allocation, MB/s
 	deadline  sim.Time // absolute completion time at the current rate (Infinity while idle)
-	calDl     sim.Time // deadline of the latest calendar entry pushed (-1 = none)
+	heapIdx   int      // slot in the fabric calendar (-1 = not in it)
 	joined    sim.Time
 	done      func()
 	finished  bool
@@ -250,7 +229,7 @@ func (p *Port) Start(demandMB float64, opts StreamOpts) *Stream {
 		if opts.Done != nil {
 			f.eng.At(now, opts.Done)
 		}
-		return &Stream{port: p, rateCap: opts.RateCap, weight: w, joined: now, finished: true}
+		return &Stream{port: p, rateCap: opts.RateCap, weight: w, heapIdx: -1, joined: now, finished: true}
 	}
 	var s *Stream
 	if n := len(f.free); n > 0 {
@@ -269,7 +248,7 @@ func (p *Port) Start(demandMB float64, opts StreamOpts) *Stream {
 		rateCap:   opts.RateCap,
 		weight:    w,
 		deadline:  sim.Infinity,
-		calDl:     -1,
+		heapIdx:   -1,
 		joined:    now,
 		done:      opts.Done,
 	}
@@ -369,41 +348,20 @@ func (f *Fabric) refresh() {
 }
 
 // completeDue fires done callbacks for streams whose analytic deadline
-// has arrived and removes them from their ports. Both paths complete
-// in (deadline, id) order — the analytic calendar pops in that order
-// natively; the event path collects and sorts — so the done events'
-// engine sequence numbers, and with them all downstream scheduling,
-// are identical either way.
+// has arrived and removes them from their ports. Streams complete in
+// the calendar's (deadline, id) pop order, which fixes the done
+// events' engine sequence numbers and with them all downstream
+// scheduling.
 func (f *Fabric) completeDue(now sim.Time) {
 	f.due = f.due[:0]
-	if f.analytic {
-		for {
-			e, ok := f.cal.peek()
-			if !ok || e.dl > now {
-				break
-			}
-			f.cal.pop()
-			if e.valid() {
-				e.s.finished = true
-				f.due = append(f.due, e.s)
-			}
+	for {
+		s := f.cal.min()
+		if s == nil || s.deadline > now {
+			break
 		}
-	} else {
-		for _, p := range f.actPorts {
-			for _, s := range p.streams {
-				if s.deadline <= now {
-					s.finished = true
-					f.due = append(f.due, s)
-				}
-			}
-		}
-		due := f.due
-		sort.Slice(due, func(i, j int) bool {
-			if due[i].deadline != due[j].deadline {
-				return due[i].deadline < due[j].deadline
-			}
-			return due[i].id < due[j].id
-		})
+		f.cal.remove(s)
+		s.finished = true
+		f.due = append(f.due, s)
 	}
 	if len(f.due) == 0 {
 		return
@@ -434,7 +392,7 @@ func (f *Fabric) completeDue(now sim.Time) {
 		p.touched = false
 		// Emptied ports stay listed in actPorts until the next
 		// recompute compacts them — keeping membership bookkeeping
-		// O(completions), not O(ports), on the fast path.
+		// O(completions), not O(ports).
 	}
 	for _, s := range f.due {
 		// The stream is out of its port and its done callback holds no
@@ -445,37 +403,21 @@ func (f *Fabric) completeDue(now sim.Time) {
 	}
 }
 
-// minDeadline returns the earliest pending completion deadline:
-// calendar top on the fast path, full rescan on the event path.
+// minDeadline returns the earliest pending completion deadline: the
+// calendar's top.
 func (f *Fabric) minDeadline() sim.Time {
-	if f.analytic {
-		for {
-			e, ok := f.cal.peek()
-			if !ok {
-				return sim.Infinity
-			}
-			if e.valid() {
-				return e.dl
-			}
-			f.cal.pop()
-		}
+	if s := f.cal.min(); s != nil {
+		return s.deadline
 	}
-	min := sim.Infinity
-	for _, p := range f.actPorts {
-		for _, s := range p.streams {
-			if s.deadline < min {
-				min = s.deadline
-			}
-		}
-	}
-	return min
+	return sim.Infinity
 }
 
 // setRate assigns a stream's water-fill allocation. When the rate is
 // bitwise unchanged the anchor — and therefore the deadline — is left
-// untouched, so stable allocations never churn the calendar and the
-// deadline bits agree across recomputes on both paths. On a change the
-// remaining bytes are materialized at now and the deadline re-derived.
+// untouched, so stable allocations never touch the calendar. On a
+// change the remaining bytes are materialized at now, the deadline is
+// re-derived and the stream's calendar entry fixed in place (or
+// removed, when the rate drops to 0 and the deadline to Infinity).
 func (f *Fabric) setRate(s *Stream, r float64, now sim.Time) {
 	if math.Float64bits(r) == math.Float64bits(s.rate) {
 		return
@@ -487,6 +429,9 @@ func (f *Fabric) setRate(s *Stream, r float64, now sim.Time) {
 	s.anchorT, s.anchorRem, s.rate = now, rem, r
 	if r <= 0 {
 		s.deadline = sim.Infinity
+		if s.heapIdx >= 0 {
+			f.cal.remove(s)
+		}
 		return
 	}
 	if rem <= 0 {
@@ -496,25 +441,19 @@ func (f *Fabric) setRate(s *Stream, r float64, now sim.Time) {
 	} else {
 		s.deadline = now + sim.Time(rem/r)
 	}
-	if f.analytic && math.Float64bits(float64(s.deadline)) != math.Float64bits(float64(s.calDl)) {
-		f.cal.push(calEntry{dl: s.deadline, id: s.id, s: s})
-		s.calDl = s.deadline
-	}
+	f.cal.fix(s)
 }
 
 // recompute performs the two-level water-filling rate allocation over
 // the active ports using iterative freezing (no sorting, no
 // allocation): in each round the tentative fair level is computed and
 // every port whose maximum useful rate falls below its weighted share
-// is frozen there; the remainder is split by weight. On the analytic
-// path the whole allocation is first probed against the epoch
-// memoization cache; a fingerprint hit replays the memoized rates
-// bit-for-bit instead of re-running the fill.
+// is frozen there; the remainder is split by weight.
 func (f *Fabric) recompute(now sim.Time) {
 	f.telRecomputes.Inc()
 	// Compact ports that emptied since the last recompute, preserving
-	// relative order (both paths run this same pass, so actPorts —
-	// and with it water-fill iteration order — stays identical).
+	// relative order (actPorts order is the water-fill iteration
+	// order).
 	kept := f.actPorts[:0]
 	for _, p := range f.actPorts {
 		if len(p.streams) == 0 {
@@ -528,9 +467,6 @@ func (f *Fabric) recompute(now sim.Time) {
 		f.actPorts[i] = nil
 	}
 	f.actPorts = kept
-	if f.analytic && f.memo.apply(f, now) {
-		return
-	}
 	totalW := 0.0
 	for _, p := range f.actPorts {
 		max := p.cap
@@ -578,9 +514,6 @@ func (f *Fabric) recompute(now sim.Time) {
 	}
 	for _, p := range f.actPorts {
 		p.distribute(now)
-	}
-	if f.analytic {
-		f.memo.store(f)
 	}
 }
 

@@ -196,12 +196,13 @@ func TestConservationProperty(t *testing.T) {
 				eng.Spawn("w", func(p *sim.Proc) {
 					port.Transfer(p, 100, StreamOpts{})
 					last = p.Now()
+					checkCalendar(t, fab)
 				})
 			}
 		}
 		eng.Run()
 		want := float64(np*pp) * 100 / 200
-		return math.Abs(float64(last)-want) < want*0.05+5*q
+		return checkCalendar(t, fab) && math.Abs(float64(last)-want) < want*0.05+5*q
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -239,10 +240,12 @@ func TestManyStreamsBatchMode(t *testing.T) {
 				if p.Now() > last {
 					last = p.Now()
 				}
+				checkCalendar(t, fab)
 			})
 		}
 	}
 	eng.Run()
+	checkCalendar(t, fab)
 	// 600 streams x 10 MB at 600 MB/s total -> ~10 s.
 	if math.Abs(float64(last)-10) > 0.5 {
 		t.Errorf("batch-mode makespan %v, want ~10s", last)

@@ -30,6 +30,7 @@ func TestNearFinishedStreamTerminates(t *testing.T) {
 		port.Start(1e-6, StreamOpts{Done: func() { done = true }})
 	})
 	eng.Run()
+	checkCalendar(t, fab)
 
 	if !done {
 		t.Fatal("near-finished stream never completed")
@@ -54,10 +55,14 @@ func TestNearFinishedStreamAmongPeers(t *testing.T) {
 	const bigT = sim.Time(1e9)
 	var tinyAt, bulkAt sim.Time
 	eng.At(bigT, func() {
-		port.Start(1e-6, StreamOpts{Done: func() { tinyAt = eng.Now() }})
+		port.Start(1e-6, StreamOpts{Done: func() {
+			tinyAt = eng.Now()
+			checkCalendar(t, fab)
+		}})
 		port.Start(100, StreamOpts{Done: func() { bulkAt = eng.Now() }})
 	})
 	eng.Run()
+	checkCalendar(t, fab)
 
 	if tinyAt == 0 || bulkAt == 0 {
 		t.Fatalf("streams did not complete: tiny=%v bulk=%v", tinyAt, bulkAt)
@@ -81,11 +86,11 @@ func sameBits(a, b sim.Time) bool {
 // TestNoQuantumLagAboveThreshold is the property test for the fast
 // path's headline claim: above exactThreshold, the historical scheme
 // detected completions with up to one quantum of lag, while the
-// analytic path fires them at the exact closed-form deadline. 600
-// uniform streams (> exactThreshold = 512) start at t=0; the deferred
+// fabric fires them at the exact closed-form deadline. 600 uniform
+// streams (> exactThreshold = 512) start at t=0; the deferred
 // water-fill lands at exactly one quantum, and every completion must
 // land at quantum + demand/fairRate to the bit — no rounding up to
-// the next quantum boundary — on both the analytic and event paths.
+// the next quantum boundary — with the calendar consistent at each.
 func TestNoQuantumLagAboveThreshold(t *testing.T) {
 	const (
 		n       = 600
@@ -93,46 +98,41 @@ func TestNoQuantumLagAboveThreshold(t *testing.T) {
 		demand  = 101.0
 		quantum = sim.Duration(0.05)
 	)
-	run := func(analyticOff bool) []sim.Time {
-		eng := sim.NewEngine()
-		fab := New(eng, Config{AggregateMBps: cap, Quantum: quantum, AnalyticOff: analyticOff})
-		port := fab.NewPort(0)
-		times := make([]sim.Time, 0, n)
-		for i := 0; i < n; i++ {
-			port.Start(demand, StreamOpts{Done: func() { times = append(times, eng.Now()) }})
-		}
-		eng.Run()
-		return times
+	eng := sim.NewEngine()
+	fab := New(eng, Config{AggregateMBps: cap, Quantum: quantum})
+	port := fab.NewPort(0)
+	times := make([]sim.Time, 0, n)
+	for i := 0; i < n; i++ {
+		port.Start(demand, StreamOpts{Done: func() {
+			times = append(times, eng.Now())
+			checkCalendar(t, fab)
+		}})
 	}
-	on := run(false)
-	if len(on) != n {
-		t.Fatalf("%d of %d streams completed", len(on), n)
+	eng.Run()
+	checkCalendar(t, fab)
+	if len(times) != n {
+		t.Fatalf("%d of %d streams completed", len(times), n)
 	}
 	// The rate lands one quantum after the t=0 join (deferred
 	// recompute); from there the completion is purely analytic. The
 	// expectation reproduces the fabric's own float arithmetic: the
 	// fair level is cap/n and the deadline demand/level later.
 	want := sim.Time(quantum) + sim.Time(demand/(cap/n))
-	for i, got := range on {
+	for i, got := range times {
 		if !sameBits(got, want) {
 			t.Fatalf("stream %d completed at %v, want exact analytic deadline %v (quantum lag is back)", i, got, want)
-		}
-	}
-	for i, got := range run(true) {
-		if !sameBits(got, on[i]) {
-			t.Fatalf("stream %d: analytic %v vs event path %v differ", i, on[i], got)
 		}
 	}
 }
 
 // TestFastForwardHonorsBurstBoundary pins the burst-boundary hazard:
 // with 600 long uniform streams in flight the fabric's next deadline
-// is tens of virtual seconds out, so the analytic path would love to
-// jump straight there — but a background burst arriving mid-stretch
-// is an engine event, and the engine never leaps over a queued event.
-// The burst must re-divide bandwidth within one quantum of its
-// arrival (the deferred-recompute bound), visibly slowing the bulk
-// streams, and the analytic and event paths must agree to the bit.
+// is tens of virtual seconds out, so the fabric would love to jump
+// straight there — but a background burst arriving mid-stretch is an
+// engine event, and the engine never leaps over a queued event. The
+// burst must re-divide bandwidth within one quantum of its arrival
+// (the deferred-recompute bound), visibly slowing the bulk streams,
+// with the calendar consistent at every completion.
 func TestFastForwardHonorsBurstBoundary(t *testing.T) {
 	const (
 		ports    = 40
@@ -144,17 +144,18 @@ func TestFastForwardHonorsBurstBoundary(t *testing.T) {
 		burstMB  = 40_000.0
 		preProbe = burstAt - 0.01
 	)
-	run := func(analyticOff, withBurst bool) (bulkDone sim.Time, preRate, postRate float64) {
+	run := func(withBurst bool) (bulkDone sim.Time, preRate, postRate float64) {
 		eng := sim.NewEngine()
-		fab := New(eng, Config{AggregateMBps: cap, Quantum: quantum, AnalyticOff: analyticOff})
+		fab := New(eng, Config{AggregateMBps: cap, Quantum: quantum})
 		var watch *Stream
 		for p := 0; p < ports; p++ {
 			port := fab.NewPort(2000)
 			for i := 0; i < perPort; i++ {
 				s := port.Start(demand, StreamOpts{Done: func() {
-					if t := eng.Now(); t > bulkDone {
-						bulkDone = t
+					if now := eng.Now(); now > bulkDone {
+						bulkDone = now
 					}
+					checkCalendar(t, fab)
 				}})
 				if watch == nil {
 					watch = s
@@ -168,25 +169,22 @@ func TestFastForwardHonorsBurstBoundary(t *testing.T) {
 		eng.At(preProbe, func() { preRate = watch.Rate() })
 		// One quantum after the burst instant the deferred recompute
 		// must have landed; probe just past it.
-		eng.At(burstAt+sim.Time(quantum)+0.001, func() { postRate = watch.Rate() })
+		eng.At(burstAt+sim.Time(quantum)+0.001, func() {
+			postRate = watch.Rate()
+			checkCalendar(t, fab)
+		})
 		eng.Run()
+		checkCalendar(t, fab)
 		return bulkDone, preRate, postRate
 	}
 
-	quietDone, _, _ := run(false, false)
-	burstDone, pre, post := run(false, true)
+	quietDone, _, _ := run(false)
+	burstDone, pre, post := run(true)
 	if !(burstDone > quietDone) {
 		t.Fatalf("burst had no effect on the bulk makespan (%v vs %v): the fabric jumped past the burst boundary", burstDone, quietDone)
 	}
 	if !(post < pre) {
 		t.Fatalf("bulk rate did not drop within one quantum of the burst (pre %.3f, post %.3f)", pre, post)
-	}
-	offDone, offPre, offPost := run(true, true)
-	if !sameBits(burstDone, offDone) ||
-		math.Float64bits(pre) != math.Float64bits(offPre) ||
-		math.Float64bits(post) != math.Float64bits(offPost) {
-		t.Fatalf("analytic vs event path diverge across the burst: done %v vs %v, rates (%.6f,%.6f) vs (%.6f,%.6f)",
-			burstDone, offDone, pre, post, offPre, offPost)
 	}
 }
 
@@ -194,8 +192,8 @@ func TestFastForwardHonorsBurstBoundary(t *testing.T) {
 // hazard: a degraded-link edge (SetCapMBps, the hook fault injection
 // drives) arriving while the fabric is deep in an uncontended stretch
 // must take effect within one quantum — the wake generation counter
-// invalidates the far-future deadline wake — and must produce
-// bit-identical schedules on both paths.
+// invalidates the far-future deadline wake — with the calendar
+// consistent at every completion.
 func TestFastForwardHonorsCapEdge(t *testing.T) {
 	const (
 		ports   = 40
@@ -205,43 +203,50 @@ func TestFastForwardHonorsCapEdge(t *testing.T) {
 		quantum = sim.Duration(0.05)
 		edgeAt  = sim.Time(3.21)
 	)
-	run := func(analyticOff bool) (victimDone, bulkDone sim.Time, postRate float64) {
-		eng := sim.NewEngine()
-		fab := New(eng, Config{AggregateMBps: cap, Quantum: quantum, AnalyticOff: analyticOff})
-		var degraded *Port
-		var watch *Stream
-		for p := 0; p < ports; p++ {
-			port := fab.NewPort(2000)
-			if p == 0 {
-				// The whole first port degrades; its streams count as
-				// victims, every other port's as healthy bulk.
-				degraded = port
-				for i := 0; i < perPort; i++ {
-					s := port.Start(demand, StreamOpts{Done: func() {
-						if t := eng.Now(); t > victimDone {
-							victimDone = t
-						}
-					}})
-					if watch == nil {
-						watch = s
-					}
-				}
-				continue
-			}
+	eng := sim.NewEngine()
+	fab := New(eng, Config{AggregateMBps: cap, Quantum: quantum})
+	var degraded *Port
+	var watch *Stream
+	var victim, bulk sim.Time
+	var post float64
+	for p := 0; p < ports; p++ {
+		port := fab.NewPort(2000)
+		if p == 0 {
+			// The whole first port degrades; its streams count as
+			// victims, every other port's as healthy bulk.
+			degraded = port
 			for i := 0; i < perPort; i++ {
-				port.Start(demand, StreamOpts{Done: func() {
-					if t := eng.Now(); t > bulkDone {
-						bulkDone = t
+				s := port.Start(demand, StreamOpts{Done: func() {
+					if now := eng.Now(); now > victim {
+						victim = now
 					}
+					checkCalendar(t, fab)
 				}})
+				if watch == nil {
+					watch = s
+				}
 			}
+			continue
 		}
-		eng.At(edgeAt, func() { degraded.SetCapMBps(5) })
-		eng.At(edgeAt+sim.Time(quantum)+0.001, func() { postRate = watch.Rate() })
-		eng.Run()
-		return victimDone, bulkDone, postRate
+		for i := 0; i < perPort; i++ {
+			port.Start(demand, StreamOpts{Done: func() {
+				if now := eng.Now(); now > bulk {
+					bulk = now
+				}
+				checkCalendar(t, fab)
+			}})
+		}
 	}
-	victim, bulk, post := run(false)
+	eng.At(edgeAt, func() {
+		degraded.SetCapMBps(5)
+		checkCalendar(t, fab)
+	})
+	eng.At(edgeAt+sim.Time(quantum)+0.001, func() {
+		post = watch.Rate()
+		checkCalendar(t, fab)
+	})
+	eng.Run()
+	checkCalendar(t, fab)
 	if victim <= bulk {
 		t.Fatalf("degraded port finished at %v, not after the healthy bulk at %v: the cap edge was jumped over", victim, bulk)
 	}
@@ -249,11 +254,5 @@ func TestFastForwardHonorsCapEdge(t *testing.T) {
 	// each must be pinned at ~1/3 MB/s, far below any healthy share.
 	if post > 1 {
 		t.Fatalf("victim stream still at %.3f MB/s one quantum past the cap edge", post)
-	}
-	offVictim, offBulk, offPost := run(true)
-	if !sameBits(victim, offVictim) || !sameBits(bulk, offBulk) ||
-		math.Float64bits(post) != math.Float64bits(offPost) {
-		t.Fatalf("analytic vs event path diverge across the cap edge: victim %v vs %v, bulk %v vs %v",
-			victim, offVictim, bulk, offBulk)
 	}
 }

@@ -188,9 +188,8 @@ func (g *graph) scanDecl(n *node, decl *ast.FuncDecl) {
 			case *types.TypeName:
 				// sync.Pool recycles in scheduler order, and sync.Map's
 				// internals are contention-dependent; any use of either
-				// type is the fact. (Simulator caches — flownet's epoch
-				// memoization is the template — key on plain slices with
-				// deterministic eviction instead.)
+				// type is the fact. (A simulator cache keys on plain
+				// slices with deterministic eviction instead.)
 				if o.Pkg() != nil && o.Pkg().Path() == "sync" {
 					switch o.Name() {
 					case "Pool":

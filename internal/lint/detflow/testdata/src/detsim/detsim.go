@@ -58,9 +58,8 @@ func Fanout() {
 	helpers.Fan(func() {}) // want `call to .*helpers\.Fan launders a goroutine launch into simulator code`
 }
 
-// Memo launders a sync.Map-backed cache into the simulator: memo
-// caches on this side must be map-free (flownet's epoch memoization
-// is the template).
+// Memo launders a sync.Map-backed cache into the simulator: caches on
+// this side must be map-free.
 func Memo() int {
 	return helpers.Memoized("epoch", func() int { return 1 }) // want `call to .*helpers\.Memoized launders a scheduler-sensitive value into simulator code`
 }

@@ -82,7 +82,7 @@ func Fan(f func()) {
 }
 
 // Memoized caches f's result in a sync.Map — the scheduler-shaped
-// cache a simulator must not adopt (its memo caches key on plain
+// cache a simulator must not adopt (a simulator cache keys on plain
 // slices with deterministic eviction). The fact is scheduler
 // sensitivity, carried by any use of the type.
 func Memoized(k string, f func() int) int {

@@ -29,10 +29,10 @@ func pooled() {
 	_ = q.Get()
 }
 
-// A sync.Map-keyed memo cache is the other scheduler-shaped cache
-// trap: simulator memoization must key on deterministic slices (the
-// flownet epoch memo cache is the sanctioned shape).
-func memoCached() {
+// A sync.Map-keyed cache is the other scheduler-shaped cache trap: a
+// simulator cache must key on deterministic slices with deterministic
+// eviction.
+func syncMapCached() {
 	var cache sync.Map // want `sync.Map in simulator code`
 	cache.Store("epoch", 1)
 	_, _ = cache.Load("epoch")

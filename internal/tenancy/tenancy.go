@@ -14,7 +14,7 @@
 // attribution. Both the co-run and the analysis are pure functions of
 // the configuration, so every artifact — traces, merged telemetry,
 // spans, the interference report JSON — is byte-identical across
-// worker counts and the analytic fast path.
+// worker counts.
 package tenancy
 
 import (

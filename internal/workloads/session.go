@@ -108,7 +108,7 @@ func (s *Session) Telemetry() *telemetry.Sink { return s.pl.tel }
 // busy counters — and the span stream in a fixed order: tenant
 // windows, per-tenant phases, fault windows, per-tenant I/O calls.
 // Every piece is a pure function of the simulated run, so the merged
-// snapshot is byte-stable across GOMAXPROCS and the analytic flag.
+// snapshot is byte-stable across GOMAXPROCS.
 func (s *Session) Fold(jobs []*Job) (*telemetry.Snapshot, []telemetry.Span) {
 	tel := s.pl.tel
 	if !tel.Enabled() {

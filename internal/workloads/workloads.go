@@ -202,9 +202,9 @@ func (j *job) foldTelemetry(r *Run) {
 	tel.Gauge("sim.heap_high_water").Set(float64(j.eng.HeapHighWater()))
 
 	// Fast-forward accounting: virtual seconds the fabric crossed in
-	// single analytic jumps. Both fabric paths take identical jumps —
-	// the -analytic flag changes how wake-ups are computed, never when
-	// they land — so these counters are safe to serialize and
+	// single analytic jumps. Where the jumps land is a pure function of
+	// the simulated run (the completion calendar's deadlines and the
+	// deferred recomputes), so these counters are safe to serialize and
 	// ensembletop can print the ratio against sim.virtual_seconds.
 	tel.Counter("sim.virtual_seconds").Add(wall)
 	if ff := j.eng.FastForwardSeconds(); ff > 0 {
